@@ -98,11 +98,6 @@ def main(argv=None):
         "any machine)",
     )
     parser.add_argument(
-        "--parallel-speedup-min", type=float, default=None,
-        help="with eight_site_scaling and eight_site_parallel both "
-        "selected: fail unless parallel wall-clock speedup >= this",
-    )
-    parser.add_argument(
         "--batching-speedup-min", type=float, default=None,
         help="with eight_site_batching_ab selected: fail unless the "
         "batched arm's wall-clock speedup over the unbatched arm (same "
@@ -128,84 +123,6 @@ def main(argv=None):
         )
         if overhead > args.trace_overhead_max:
             status = 1
-    # Dual-executor gate: the serial and parallel 8-site scenarios run
-    # the identical workload, so their simulated outcomes must agree
-    # exactly; their wall-clock ratio is the multi-core speedup.  On a
-    # machine with fewer free cores than workers, measured wall-clock
-    # cannot show the speedup (the workers time-slice), so the critical
-    # path -- the busiest worker's CPU seconds -- is reported alongside
-    # as the projected speedup with enough cores.
-    parallel_speedup = None
-    parallel_projected = None
-    cpus = os.cpu_count() or 1
-    if "eight_site_scaling" in results and "eight_site_parallel" in results:
-        serial = results["eight_site_scaling"]
-        par = results["eight_site_parallel"]
-        fields = ("ops", "now", "metrics_sha256")
-        agree = serial["events"] == par["events"] and all(
-            serial["sim"][f] == par["sim"][f] for f in fields
-        )
-        parallel_speedup = round(serial["wall_s"] / par["wall_s"], 2)
-        # Prefer the solo-replay critical path: each worker's cost when
-        # replayed alone on a quiet core, i.e. what it costs with one
-        # core per worker.  The live concurrent CPU is the fallback; it
-        # over-counts on core-starved machines (time-slicing workers
-        # pollute each other's caches).
-        critical_path = (
-            par["sim"].get("solo_max_cpu_s") or par["sim"]["max_worker_cpu_s"]
-        )
-        if critical_path > 0:
-            # CPU-to-CPU: serial process CPU over the busiest worker's
-            # thread CPU.  Both exclude descheduling, so the projection
-            # is stable even when this machine is loaded or has fewer
-            # cores than workers (where wall clocks are meaningless).
-            serial_cost = serial["sim"].get("cpu_s") or serial["wall_s"]
-            parallel_projected = round(serial_cost / critical_path, 2)
-        print(
-            "parallel executor: %s, speedup %.2fx measured on %d cpus"
-            "%s (%d workers)"
-            % (
-                "equivalent" if agree else "DIVERGED",
-                parallel_speedup,
-                cpus,
-                (
-                    ", %.2fx projected from the %.1fs critical path"
-                    % (parallel_projected, critical_path)
-                    if parallel_projected is not None
-                    else ""
-                ),
-                par["sim"]["workers"],
-            )
-        )
-        if not agree:
-            for f in fields:
-                if serial["sim"][f] != par["sim"][f]:
-                    print(
-                        "  %s: serial=%s parallel=%s"
-                        % (f, serial["sim"][f], par["sim"][f])
-                    )
-            if serial["events"] != par["events"]:
-                print(
-                    "  events: serial=%d parallel=%d"
-                    % (serial["events"], par["events"])
-                )
-            status = 1
-        if args.parallel_speedup_min is not None:
-            # Gate on measured wall-clock when the machine has enough
-            # cores to actually run the workers concurrently; otherwise
-            # on the critical-path projection.
-            workers = par["sim"]["workers"]
-            effective = (
-                parallel_speedup
-                if cpus >= workers
-                else (parallel_projected or parallel_speedup)
-            )
-            if effective < args.parallel_speedup_min:
-                print(
-                    "parallel speedup %.2fx below required %.2fx"
-                    % (effective, args.parallel_speedup_min)
-                )
-                status = 1
     # Shard-scaling gate: per-shard servers bring their own cores and WAL
     # devices, so aggregate simulated throughput must scale with shards.
     if "shard_scaling" in results:
@@ -294,20 +211,6 @@ def main(argv=None):
         speedup = _speedups(doc)
         if speedup:
             doc["speedup_wall_clock"] = speedup
-        if parallel_speedup is not None:
-            doc["parallel_executor"] = {
-                "speedup_vs_serial_measured": parallel_speedup,
-                "speedup_vs_serial_projected": parallel_projected,
-                "max_worker_cpu_s": results["eight_site_parallel"]["sim"][
-                    "max_worker_cpu_s"
-                ],
-                "solo_max_cpu_s": results["eight_site_parallel"]["sim"].get(
-                    "solo_max_cpu_s"
-                ),
-                "cpus": cpus,
-                "workers": results["eight_site_parallel"]["sim"]["workers"],
-                "equivalent": True,
-            }
         with open(args.write, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -176,128 +176,24 @@ def _metrics_sha256(snapshot: Dict[str, Any]) -> str:
 def eight_site_scaling(small: bool = False) -> Dict[str, Any]:
     """Write-only closed loop on 8 uniform-RTT sites: stresses batched
     propagation, remote apply, and tracker bookkeeping at the largest
-    site count the experiments use.  Runs the serial reference executor;
-    ``eight_site_parallel`` runs the identical workload on the parallel
-    one, and the bench runner cross-checks ops/events/clock/metrics."""
-    from ..sim.parallel import serial_payloads
-
+    site count the experiments use."""
     start = time.perf_counter()
     cpu_start = time.process_time()
     world = Deployment(**_eight_site_deploy_kwargs())
     sim = eight_site_write_scenario(world, **_eight_site_params(small))
     cpu = time.process_time() - cpu_start
     wall = time.perf_counter() - start
-    serial = serial_payloads(world, sim)
     return {
         "wall_s": wall,
         "events": world.kernel.events_executed,
         "sim": {
             "ops": sim["ops"],
             "now": sim["now"],
-            "metrics_sha256": _metrics_sha256(serial.metrics_snapshot()),
-            # CPU seconds of the whole build+run, for the parallel
-            # scenario's critical-path projection: CPU-to-CPU comparison
-            # stays meaningful on a loaded or core-starved machine where
-            # wall clocks include descheduling.
+            "metrics_sha256": _metrics_sha256(world.metrics_snapshot()),
+            # CPU seconds of the whole build+run: CPU-to-CPU comparison
+            # stays meaningful on a loaded machine where wall clocks
+            # include descheduling.
             "cpu_s": round(cpu, 3),
-        },
-    }
-
-
-@scenario
-def eight_site_parallel(small: bool = False) -> Dict[str, Any]:
-    """``eight_site_scaling`` on the conservative parallel executor:
-    4 spawn workers, 2 sites each, lookahead = the 40 ms jitter-free
-    one-way latency.  ``sim`` carries the same equivalence fields as the
-    serial scenario so the runner can assert the executors agree.
-
-    Runs in ``mp-replay`` mode: after the live run, each cluster is
-    replayed solo in a fresh process from the recorded barrier traffic.
-    ``wall_s`` covers the live run only; ``solo_max_cpu_s`` is the
-    contention-free critical path, which is what each worker costs on a
-    machine with one core per worker (the live ``max_worker_cpu_s``
-    additionally pays for co-scheduling cache pollution whenever the
-    workers time-slice shared cores)."""
-    from ..sim.parallel import run_scenario
-
-    result = run_scenario(
-        "repro.bench.workloads:eight_site_write_scenario",
-        deploy_kwargs=_eight_site_deploy_kwargs(),
-        params=_eight_site_params(small),
-        workers=4,
-        mode="mp-replay",
-    )
-    ops = sum(r["ops"] for r in result.scenario_results)
-    solo = result.solo_cpu_s
-    return {
-        "wall_s": result.live_wall_s,
-        "events": result.events_executed,
-        "sim": {
-            "ops": ops,
-            "now": round(result.now, 9),
-            "metrics_sha256": _metrics_sha256(result.metrics_snapshot()),
-            "workers": 4,
-            # Busiest worker's CPU seconds in the live (concurrent) run.
-            "max_worker_cpu_s": round(max(result.worker_cpu_s), 3),
-            # Busiest worker's CPU seconds replayed alone on a quiet
-            # core: the multi-core critical path, used for the projected
-            # speedup on machines with fewer cores than workers.
-            "solo_max_cpu_s": round(max(solo), 3) if solo else None,
-        },
-    }
-
-
-@scenario
-def parallel_digest_gate(small: bool = False) -> Dict[str, Any]:
-    """Serial vs parallel (mp, one worker per site) on the schedule-digest
-    workload: canonical span digests, merged metrics snapshots, and trace
-    verdicts must all be byte-identical.  CI runs this as its
-    ``parallel-digest`` job."""
-    from ..sim.parallel import (
-        canonical_verdict,
-        run_scenario,
-        serial_payloads,
-        trace_fingerprint,
-    )
-    from .workloads import mixed_rw_scenario
-
-    deploy_kwargs = dict(n_sites=3, seed=1234, tracing=True, trace=True)
-    params = dict(n_keys=60, measure=0.15) if small else None
-
-    start = time.perf_counter()
-    world = Deployment(**deploy_kwargs)
-    sim = mixed_rw_scenario(world, **(params or {}))
-    serial = serial_payloads(world, sim)
-    parallel = run_scenario(
-        "repro.bench.workloads:mixed_rw_scenario",
-        deploy_kwargs=deploy_kwargs,
-        params=params,
-        workers=3,
-        mode="mp",
-    )
-    wall = time.perf_counter() - start
-
-    checks = {
-        "digest": serial.canonical_digest() == parallel.canonical_digest(),
-        "metrics": serial.metrics_snapshot() == parallel.metrics_snapshot(),
-        "trace": trace_fingerprint(serial.merged_trace())
-        == trace_fingerprint(parallel.merged_trace()),
-        "verdict": canonical_verdict(serial.merged_trace(), serial.abandoned_versions)
-        == canonical_verdict(parallel.merged_trace(), parallel.abandoned_versions),
-        "events": serial.events_executed == parallel.events_executed,
-    }
-    if not all(checks.values()):
-        raise AssertionError(
-            "dual-executor gate failed: %s"
-            % sorted(k for k, ok in checks.items() if not ok)
-        )
-    return {
-        "wall_s": wall,
-        "events": serial.events_executed + parallel.events_executed,
-        "sim": {
-            "digest": serial.canonical_digest()[:16],
-            "identical": True,
-            "ops": sim["ops"],
         },
     }
 
@@ -560,13 +456,7 @@ def run_scenarios(
                 # estimate of the intrinsic cost.
                 sim, first = run.get("sim"), out.get("sim")
                 if isinstance(sim, dict) and isinstance(first, dict):
-                    for key in (
-                        "cpu_s",
-                        "max_worker_cpu_s",
-                        "solo_max_cpu_s",
-                        "wall_off_s",
-                        "wall_on_s",
-                    ):
+                    for key in ("cpu_s", "wall_off_s", "wall_on_s"):
                         a, b = first.get(key), sim.get(key)
                         if a is not None and b is not None:
                             first[key] = min(a, b)

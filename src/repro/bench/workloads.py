@@ -176,7 +176,7 @@ def slow_commit_tx_factory(keys: KeySpace, tx_size: int):
 
 
 # ----------------------------------------------------------------------
-# Scenario drivers (module-level, importable by parallel workers)
+# Scenario drivers: scenario(world, **params) -> summary dict
 # ----------------------------------------------------------------------
 def mixed_rw_scenario(
     world: Deployment,
@@ -190,14 +190,9 @@ def mixed_rw_scenario(
 ):
     """The schedule-digest workload as a self-contained scenario driver:
     read-modify-write transactions with an occasional remote write, then
-    a settle window for propagation.
-
-    This is the dual-executor gate's reference workload.  It is a
-    module-level function so the parallel executor's spawn workers can
-    import it by name, and it drives the world only through
-    cluster-deterministic APIs (``populate``/``run_closed_loop``/
-    ``settle``), so a serial run and any worker partitioning execute the
-    identical schedule.
+    a settle window for propagation.  It drives the world only through
+    ``populate``/``run_closed_loop``/``settle``, so a given seed always
+    executes the identical schedule.
     """
     from .harness import run_closed_loop
 
@@ -237,9 +232,8 @@ def eight_site_write_scenario(
 ):
     """The ``eight_site_scaling`` wall-clock workload: write-only
     single-object transactions against local preferred sites.  Shared by
-    the serial scenario and its parallel twin so both executors run the
-    identical simulated schedule (same populate, same factories, same
-    closed-loop parameters)."""
+    every eight-site wall-clock scenario so they run the same populate,
+    factories and closed-loop parameters."""
     from .harness import run_closed_loop
 
     keys = populate(world, n_keys=n_keys)
@@ -260,7 +254,7 @@ def fig17_mixed_scenario(
     settle: float = 0.5,
 ):
     """The Fig 17 mixed cell (90% size-1 reads, 10% size-5 writes) as a
-    dual-executor gate scenario."""
+    scenario driver."""
     from .harness import run_closed_loop
 
     keys = populate(world, n_keys=n_keys)
@@ -282,7 +276,7 @@ def fig18_write5_scenario(
     settle: float = 0.5,
 ):
     """The Fig 18 fast-commit latency workload shape (write-only
-    transactions of 5 local objects) as a dual-executor gate scenario."""
+    transactions of 5 local objects) as a scenario driver."""
     from .harness import run_closed_loop
 
     keys = populate(world, n_keys=n_keys)

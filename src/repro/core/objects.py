@@ -55,9 +55,10 @@ class ObjectId:
     def __reduce__(self):
         # String hashing is per-process (PYTHONHASHSEED), so the cached
         # ``_hash`` must not travel inside pickled state: an id unpickled
-        # in another process (parallel executor workers) would never land
-        # in the same dict bucket as a locally minted equal id.  Rebuild
-        # through the constructor so ``__post_init__`` recomputes it.
+        # in another process would never land in the same dict bucket as
+        # a locally minted equal id.  Rebuild through the constructor so
+        # ``__post_init__`` recomputes it -- also the path checkpoints take
+        # when they deep-copy server state (storage/checkpoint.py).
         return (self.__class__, (self.container, self.local, self.kind))
 
     def __str__(self) -> str:

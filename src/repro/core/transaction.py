@@ -161,12 +161,13 @@ class CommitRecord:
         return v
 
     def __reduce__(self):
-        # Commit records are the bulk of cross-cluster traffic in the
-        # parallel executor.  Constructor-args reduce is ~2x cheaper than
-        # the default dict pickle, drops the lazily rebuilt ``_version``
-        # cache from the wire, and inlines the snapshot vector as a bare
-        # int tuple (one fewer Python-level reduce per record; update
-        # objects stay as-is so shared oids keep their pickle-memo hits).
+        # Commit records are the bulk of the server state checkpoints
+        # deep-copy (storage/checkpoint.py).  Constructor-args reduce is
+        # ~2x cheaper than the default dict reduce, drops the lazily
+        # rebuilt ``_version`` cache from the copy, and inlines the
+        # snapshot vector as a bare int tuple (one fewer Python-level
+        # reduce per record; update objects stay as-is so shared oids
+        # keep their memo hits).
         return (
             _restore_record,
             (self.tid, self.site, self.seqno, self.start_vts._seqnos,

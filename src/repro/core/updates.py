@@ -31,8 +31,9 @@ class DataUpdate:
             )
 
     def __reduce__(self):
-        # Hot on the parallel executor's barrier exchanges (every
-        # propagated commit record ships its update buffer).
+        # Checkpoints deep-copy server state (storage/checkpoint.py), and
+        # every retained commit record holds its update buffer: the
+        # constructor form copies cheaper than the default dataclass reduce.
         return (DataUpdate, (self.oid, self.data))
 
 

@@ -40,9 +40,9 @@ class Version:
 
     def __reduce__(self):
         # Rebuild through the constructor: cheaper than the default
-        # state-dict pickle and keeps the cached hash out of the wire
-        # format (int hashes are process-stable, but the slim form wins
-        # on the parallel executor's barrier exchanges).
+        # state-dict reduce when checkpoints deep-copy server state
+        # (storage/checkpoint.py), and keeps the cached hash out of the
+        # copied or pickled state.
         return (Version, (self.site, self.seqno))
 
     def __str__(self) -> str:
@@ -97,9 +97,9 @@ class VectorTimestamp:
         return hash(self._seqnos)
 
     def __reduce__(self):
-        # Every propagated commit record carries a snapshot vector, so
-        # these are pickled by the thousand at parallel-executor
-        # barriers; ``_wrap`` skips the per-entry validation on load.
+        # Every retained commit record carries a snapshot vector, so
+        # checkpoints (storage/checkpoint.py) deep-copy these by the
+        # thousand; ``_wrap`` skips the per-entry validation on rebuild.
         return (VectorTimestamp._wrap, (self._seqnos,))
 
     def __repr__(self) -> str:

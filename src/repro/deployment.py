@@ -11,14 +11,13 @@ one-call operations used by tests and examples.
 from __future__ import annotations
 
 import itertools
-import operator
 import zlib
 from typing import Dict, Generator, List, Optional, Set
 
 from .client import WalterClient
 from .core.objects import Container
 from .core.versions import Version
-from .net import ClusterGateway, Envelope, Host, Network, Topology
+from .net import Host, Network, Topology
 from .obs import Observability
 from .server import (
     BatchingConfig,
@@ -53,8 +52,7 @@ class Deployment:
         # the already-running servers, not just future replacements.
         self._chaos_bug = value
         for server in getattr(self, "servers", ()):
-            if server is not None:
-                server.chaos_bug = value
+            server.chaos_bug = value
 
     def __init__(
         self,
@@ -72,55 +70,12 @@ class Deployment:
         trace_capacity: int = 8192,
         lease_sweeper: bool = False,
         leases: Optional[LeaseConfig] = None,
-        cluster=None,
-        executor: str = "serial",
-        workers: int = 0,
         shards: int = 1,
         replication: Optional[int] = None,
         batching=None,
     ):
-        if executor not in ("serial", "parallel"):
-            raise ValueError("executor must be 'serial' or 'parallel', got %r" % (executor,))
         if shards < 1:
             raise ValueError("shards must be >= 1, got %d" % shards)
-        if executor == "parallel":
-            # Driver-handle mode (DESIGN.md §12): no world is built here.
-            # Each parallel worker constructs its own cluster-restricted
-            # Deployment from these kwargs; drive it with run_scenario().
-            if cluster is not None:
-                raise ValueError("executor='parallel' builds its own cluster workers")
-            self.executor = "parallel"
-            self.workers = workers or 2
-            self._parallel_kwargs = dict(
-                n_sites=n_sites,
-                topology=topology,
-                seed=seed,
-                costs=costs,
-                flush_latency=flush_latency,
-                f=f,
-                ds_mode=ds_mode,
-                trace=trace,
-                jitter_frac=jitter_frac,
-                anti_starvation=anti_starvation,
-                tracing=tracing,
-                trace_capacity=trace_capacity,
-                lease_sweeper=lease_sweeper,
-                leases=leases,
-                shards=shards,
-                replication=replication,
-                batching=batching,
-            )
-            return
-        self.executor = "serial"
-        self.workers = 0
-        #: Cluster mode (set by the parallel executor's workers): this
-        #: deployment simulates only ``cluster.spec.owned_sites``; the
-        #: rest of the topology lives in sibling workers, reached through
-        #: the network gateway at synchronization barriers.
-        self.cluster = cluster
-        self._owned = (
-            frozenset(cluster.spec.owned_sites) if cluster is not None else None
-        )
         self.kernel = Kernel()
         self.streams = RandomStreams(seed)
         base_topology = topology or Topology.ec2(n_sites)
@@ -131,12 +86,7 @@ class Deployment:
         #: names -- so single-shard runs are bit-identical to the
         #: pre-sharding kernel.
         self.shards = shards
-        if shards > 1 and getattr(base_topology, "shards", 1) == shards:
-            # Already expanded: the parallel executor shards the topology
-            # eagerly so its cluster partitions align with logical sites.
-            self.topology = base_topology
-            self.n_base_sites = len(base_topology) // shards
-        elif shards > 1:
+        if shards > 1:
             self.n_base_sites = len(base_topology)
             self.topology = Topology.sharded(base_topology, shards)
         else:
@@ -170,10 +120,6 @@ class Deployment:
             self.kernel, self.topology, streams=self.streams, jitter_frac=jitter_frac
         )
         self.network.bind_metrics(self.obs.registry)
-        if cluster is not None:
-            gateway = ClusterGateway(cluster.spec.cluster_id, cluster.spec.cluster_of)
-            self.network.attach_gateway(gateway)
-            cluster.gateway = gateway
         self.config = LocalConfig(self.n_sites)
         self.trace = ExecutionTrace(n_sites=self.n_sites) if trace else None
         self.costs = costs or ServerCosts()
@@ -193,54 +139,32 @@ class Deployment:
         #: The chaos durability oracle excludes these from "lost".
         self.abandoned_versions: Set[Version] = set()
 
-        self.storages: List[Optional[SiteStorage]] = [
+        self.storages: List[SiteStorage] = [
             SiteStorage(
                 self.kernel,
                 site,
                 flush_latency,
-                # Cluster workers cannot share the process-global deploy
-                # counter, so cluster-mode names are deploy-independent.
-                name=(
-                    "disk-p-%d" % site
-                    if cluster is not None
-                    else "disk-%d-%d" % (self._deploy_id, site)
-                ),
+                name="disk-%d-%d" % (self._deploy_id, site),
                 flush_window=(
                     self.batching.wal_window if self.batching is not None else 0.0
                 ),
             )
-            if self.owns(site)
-            else None
             for site in range(self.n_sites)
         ]
         for storage in self.storages:
-            if storage is None:
-                continue
             storage.bind_metrics(self.obs.registry)
             if self.obs.tracer is not None:
                 storage.bind_tracer(self.obs.tracer)
         self.addresses: Dict[int, str] = {
-            site: (
-                "walter-p-%d" % site
-                if cluster is not None
-                else "walter-%d-%d" % (self._deploy_id, site)
-            )
-            for site in range(self.n_sites)
+            site: "walter-%d-%d" % (self._deploy_id, site) for site in range(self.n_sites)
         }
-        self.servers: List[Optional[WalterServer]] = [
-            self._make_server(site) if self.owns(site) else None
-            for site in range(self.n_sites)
+        self.servers: List[WalterServer] = [
+            self._make_server(site) for site in range(self.n_sites)
         ]
-        if cluster is not None:
-            for site in range(self.n_sites):
-                if not self.owns(site):
-                    self.network.register_remote(self.addresses[site], site)
         for server in self.servers:
-            if server is not None:
-                self._boot(server)
+            self._boot(server)
         self._client_seq = itertools.count(1)
         self._container_seq = itertools.count(1)
-        self._preload_shadow_seq = 0
 
     def _make_server(self, site: int, takeover: bool = False) -> WalterServer:
         server = WalterServer(
@@ -274,44 +198,6 @@ class Deployment:
     # ------------------------------------------------------------------
     # Topology/objects
     # ------------------------------------------------------------------
-    def owns(self, site: int) -> bool:
-        """Whether this deployment simulates ``site`` (always true outside
-        cluster mode)."""
-        return self._owned is None or site in self._owned
-
-    def owned_sites(self) -> List[int]:
-        if self._owned is None:
-            return list(range(self.n_sites))
-        return sorted(self._owned)
-
-    def _owned_servers(self) -> List[WalterServer]:
-        return [server for server in self.servers if server is not None]
-
-    def _require_serial(self, operation: str) -> None:
-        if self.cluster is not None:
-            raise RuntimeError(
-                "%s is not available in cluster mode: the parallel executor "
-                "only supports fault-free, configuration-static workloads "
-                "(DESIGN.md §12)" % operation
-            )
-
-    def run_scenario(self, scenario, params=None, mode: str = "auto"):
-        """Parallel-handle entry point (``executor='parallel'``): run
-        ``scenario(world, **params)`` across ``self.workers`` cluster
-        workers and return the merged
-        :class:`~repro.sim.parallel.ParallelResult`."""
-        if getattr(self, "executor", "serial") != "parallel":
-            raise RuntimeError("run_scenario() requires Deployment(executor='parallel')")
-        from .sim.parallel import run_scenario
-
-        return run_scenario(
-            scenario,
-            deploy_kwargs=self._parallel_kwargs,
-            params=params,
-            workers=self.workers,
-            mode=mode,
-        )
-
     def server(self, site: int) -> WalterServer:
         return self.servers[site]
 
@@ -321,8 +207,8 @@ class Deployment:
     def shard_of(self, cid: str) -> int:
         """Deterministic container-id -> shard routing.  ``crc32`` rather
         than ``hash()``: the builtin string hash is salted per process
-        (PYTHONHASHSEED), which would break cross-process determinism in
-        the parallel executor and across replay runs."""
+        (PYTHONHASHSEED), which would make routing -- and so every
+        schedule digest -- differ between otherwise identical runs."""
         return zlib.crc32(cid.encode("utf-8")) % self.shards
 
     def logical_site(self, base_site: int, shard: int = 0) -> int:
@@ -379,12 +265,6 @@ class Deployment:
         # No deploy id in the default name: client names feed into tids,
         # and traces must be byte-identical across same-seed runs.
         name = name or "client-%d-%d" % (site, next(self._client_seq))
-        if not self.owns(site):
-            # Cluster mode: the sequence number above is burned on
-            # purpose so every worker assigns the same name to the same
-            # global client index; the client itself lives in the worker
-            # that owns its site.
-            return None
         client = WalterClient(
             self.kernel,
             self.network,
@@ -409,16 +289,10 @@ class Deployment:
         from .core.cset import CSet
         from .core.transaction import CommitRecord
         from .core.updates import CSetAdd, CSetDel, DataUpdate
-        from .core.versions import VectorTimestamp, Version
+        from .core.versions import Version
 
-        if self.servers[0] is not None:
-            seq = self.servers[0].curr_seqno
-            start_vts = self.servers[0].committed_vts
-        else:
-            # Cluster mode without site 0: shadow the seqno stream so
-            # every worker mints identical preload versions/records.
-            seq = self._preload_shadow_seq
-            start_vts = VectorTimestamp.zeros(self.n_sites).with_entry(0, seq)
+        seq = self.servers[0].curr_seqno
+        start_vts = self.servers[0].committed_vts
         for oid, value in values.items():
             seq += 1
             version = Version(0, seq)
@@ -440,7 +314,7 @@ class Deployment:
                 start_vts=start_vts,
                 updates=updates,
             )
-            for server in self._owned_servers():
+            for server in self.servers:
                 # Partial replication: a site only stores the shards it
                 # replicates; preloaded data follows the same placement.
                 if self._partial_replication and not self.config.container(
@@ -457,60 +331,22 @@ class Deployment:
                         u.oid for u in updates if isinstance(u, DataUpdate)
                     ))
                 )
-                # Cluster mode: only the owning worker records a site's
-                # commit order, so the merged trace has each site once.
-                for site in self.owned_sites():
+                for site in range(self.n_sites):
                     self.trace.record_site_commit(site, version)
-        for server in self._owned_servers():
+        for server in self.servers:
             server.got_vts = server.got_vts.with_entry(0, seq)
             server.committed_vts = server.committed_vts.with_entry(0, seq)
-        if self.servers[0] is not None:
-            self.servers[0].curr_seqno = seq
-        self._preload_shadow_seq = seq
+        self.servers[0].curr_seqno = seq
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Advance the simulation.  In cluster mode this is the barrier
-        loop of the conservative parallel executor (DESIGN.md §12): run
-        the local kernel in windows of at most one lookahead, exchange
-        cross-cluster envelopes with the sibling workers at every window
-        boundary, and schedule the inbound ones (all strictly in the
-        future) in canonical order."""
-        if self.cluster is None:
-            return self.kernel.run(until=until)
-        if until is None:
-            raise RuntimeError(
-                "cluster mode requires a bounded run(until=...): the "
-                "barrier loop advances in lookahead-sized windows"
-            )
-        exchange = self.cluster.exchange
-        gateway = self.cluster.gateway
-        lookahead = self.cluster.lookahead_s
-        # C-level sort key (same canonical order as Envelope.sort_key,
-        # without a Python call per envelope -- this sort sees every
-        # cross-cluster message of the run).
-        envelope_key = operator.attrgetter(
-            "deliver_at", "src_site", "dst_site", "link_seq"
-        )
-        deliver = self.network.deliver_envelope
-        while True:
-            if lookahead == float("inf"):
-                barrier = until
-            else:
-                barrier = min(until, self.kernel.now + lookahead)
-            self.kernel.run(until=barrier)
-            inbound = exchange.sync(barrier, gateway.drain())
-            inbound.sort(key=envelope_key)
-            for envelope in inbound:
-                deliver(envelope)
-            if barrier >= until:
-                return self.kernel.now
+        """Advance the simulation."""
+        return self.kernel.run(until=until)
 
     def run_process(self, gen: Generator, within: float = 60.0):
         """Spawn a process and run the world until it finishes."""
-        self._require_serial("run_process")
         return self.kernel.run_process(gen, until=self.kernel.now + within)
 
     def settle(self, duration: float = 2.0) -> None:
@@ -524,24 +360,18 @@ class Deployment:
         """Deterministic dump of every counter/gauge/histogram.  GC
         gauges (watermark, history entries, commit records) are refreshed
         first so they are current even if a server's GC loop is off."""
-        for server in self._owned_servers():
+        for server in self.servers:
             server._refresh_gc_gauges()
         snap = self.obs.snapshot()
         snap["access_profile"] = {
-            site: server.profiler.as_dict()
-            for site, server in enumerate(self.servers)
-            if server is not None
+            site: server.profiler.as_dict() for site, server in enumerate(self.servers)
         }
         return snap
 
     def gc_watermarks(self) -> Dict[int, "VectorTimestamp"]:
         """Per-site GC watermarks (meet of CommittedVTS with every active
         transaction's startVTS) -- what a GC pass at each site would use."""
-        return {
-            site: server.gc_watermark()
-            for site, server in enumerate(self.servers)
-            if server is not None
-        }
+        return {site: server.gc_watermark() for site, server in enumerate(self.servers)}
 
     def lag_report(self):
         """Per-site replication/ds/visibility lag from retained traces
@@ -553,13 +383,11 @@ class Deployment:
     # ------------------------------------------------------------------
     def crash_server(self, site: int) -> None:
         """Crash the Walter server process at a site (storage survives)."""
-        self._require_serial("crash_server")
         self.servers[site].crash()
 
     def replace_server(self, site: int) -> WalterServer:
         """Start a replacement server over the site's cluster storage; it
         recovers its state and resumes propagation (§5.7)."""
-        self._require_serial("replace_server")
         doomed = self._fence_storage(site)
         replacement = self._make_server(site, takeover=True)
         replacement.restore_from_storage()
@@ -578,7 +406,7 @@ class Deployment:
         # would have been released by exactly those records' arrival.
         target = replacement.committed_vts
         for peer, server in enumerate(self.servers):
-            if peer == site or server is None:
+            if peer == site:
                 continue
             if self.network.is_crashed(self.addresses[peer]):
                 continue
@@ -611,7 +439,6 @@ class Deployment:
 
     def fail_site(self, site: int) -> None:
         """An entire site fails: server down, links severed."""
-        self._require_serial("fail_site")
         self.servers[site].crash()
         for other in range(self.n_sites):
             if other != site:
@@ -733,9 +560,7 @@ class Deployment:
                 # container (including ones slow-committed at third
                 # sites still propagating), making the copy complete.
                 for peer, server in enumerate(self.servers):
-                    if server is None or self.network.is_crashed(
-                        self.addresses[peer]
-                    ):
+                    if self.network.is_crashed(self.addresses[peer]):
                         continue
                     needed = needed.merge(server.committed_vts)
 

@@ -90,8 +90,9 @@ class RpcRequest:
     span: Optional[tuple] = None
 
     def __reduce__(self):
-        # Wire messages cross process boundaries at every parallel
-        # barrier; constructor-args reduce beats the slot-state default.
+        # Constructor-args reduce (as on the core value classes, which
+        # checkpoints deep-copy): a copied or pickled message is rebuilt
+        # through the constructor instead of the slot-state default.
         return (RpcRequest, (self.rpc_id, self.method, self.args, self.reply_to, self.span))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.transaction import CommitRecord, Transaction
+from ..core.updates import DataUpdate
 from ..core.versions import Version
 from ..errors import PreferredSiteUnavailableError
 from ..obs import trace as span
@@ -158,7 +159,12 @@ class FastCommitMixin:
             delayed = self._is_access_delayed
             start_vts = tx.start_vts
             conflict = False
-            for oid in tx.write_set:
+            # Update-buffer order, not frozenset order (salted string
+            # hashes): which conflicting oid the profiler sees must not
+            # depend on PYTHONHASHSEED.
+            for oid in dict.fromkeys(
+                u.oid for u in tx.updates if isinstance(u, DataUpdate)
+            ):
                 if not unmodified(oid, start_vts) or oid in locked or delayed(oid):
                     self.profiler.record_conflict(oid)
                     conflict = True
@@ -181,7 +187,8 @@ class FastCommitMixin:
         self.curr_seqno += 1
         version = Version(self.site_id, self.curr_seqno)
         preferred_site = self.config.preferred_site
-        for oid in tx.touched:
+        # Update-buffer order keeps the profile hash-seed independent.
+        for oid in dict.fromkeys(u.oid for u in tx.updates):
             self.profiler.record_write(oid, preferred_site(oid) == self.site_id)
         self.histories.apply(tx.updates, version)
         self.committed_vts = self.committed_vts.with_entry(self.site_id, self.curr_seqno)

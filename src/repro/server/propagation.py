@@ -659,7 +659,8 @@ class PropagationMixin:
         accounting, measure replication lag (origin commit -> applied
         here, the clock the origin stamped into the record), and span."""
         profiler = self.profiler
-        for oid in touched_oids(record.updates):
+        # Update-buffer order keeps the profile hash-seed independent.
+        for oid in dict.fromkeys(u.oid for u in record.updates):
             self.storage.cache.put(oid, True)
             profiler.record_remote_apply(oid)
         if record.committed_at is not None:

@@ -1,0 +1,104 @@
+"""``__reduce__`` contracts of the core value and rpc message classes.
+
+Checkpoints deep-copy server state through these methods
+(``storage/checkpoint.py``), and a pickled value must not depend on the
+process that produced it: no ``PYTHONHASHSEED``-dependent cached hash may
+travel inside the copied state.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+
+from repro.core.objects import ObjectId, ObjectKind
+from repro.core.transaction import CommitRecord
+from repro.core.updates import CSetAdd, CSetDel, DataUpdate
+from repro.core.versions import VectorTimestamp, Version
+from repro.net.rpc import Cast, RpcReply, RpcRequest
+
+_PICKLE_PROBE = r"""
+import hashlib, pickle
+from repro.core.objects import ObjectId, ObjectKind
+from repro.core.transaction import CommitRecord
+from repro.core.updates import CSetAdd, DataUpdate
+from repro.core.versions import VectorTimestamp, Version
+from repro.net.rpc import Cast, RpcReply, RpcRequest
+
+oid = ObjectId("bench-site0", "k17")
+cset = ObjectId("bench-site0", "s3", ObjectKind.CSET)
+record = CommitRecord(
+    tid="tx-9", site=1, seqno=4,
+    start_vts=VectorTimestamp._wrap((3, 1, 0)),
+    updates=[DataUpdate(oid, b"x" * 20), CSetAdd(cset, "elem")],
+    committed_at=0.125,
+)
+objects = [
+    oid,
+    Version(2, 7),
+    VectorTimestamp._wrap((1, 2, 3)),
+    record,
+    Cast("propagate", {"records": [record]}, "walter-1"),
+    RpcRequest(3, "tx_read", {"oid": oid}, "client-0", None),
+    RpcReply(3, b"value", None),
+]
+blob = pickle.dumps(objects, pickle.HIGHEST_PROTOCOL)
+print(hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_wire_pickles_independent_of_hashseed():
+    """Regression for the cached-hash-in-the-pickle bug: the pickled
+    bytes of every value class must be identical across processes with
+    different ``PYTHONHASHSEED``."""
+    digests = set()
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    for seed in ("0", "1", "31337"):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = os.path.abspath(src)
+        out = subprocess.run(
+            [sys.executable, "-c", _PICKLE_PROBE],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
+
+
+def test_objectid_unpickles_into_same_bucket():
+    """An unpickled ObjectId must land in the same dict bucket as a
+    locally minted equal id (the cached hash is recomputed, never
+    shipped)."""
+    local = ObjectId("c", "k1")
+    shipped = pickle.loads(pickle.dumps(local))
+    assert hash(shipped) == hash(local)
+    assert {local: 1}[shipped] == 1
+
+
+def test_reduce_roundtrips():
+    oid = ObjectId("cont", "obj-3")
+    cset = ObjectId("cont", "set-1", ObjectKind.CSET)
+    vts = VectorTimestamp._wrap((4, 0, 9))
+    samples = [
+        oid,
+        Version(1, 12),
+        vts,
+        DataUpdate(oid, b"payload"),
+        CSetAdd(cset, "e1"),
+        CSetDel(cset, "e2"),
+        CommitRecord("tx-1", 0, 5, vts, [DataUpdate(oid, b"p")], 1.5),
+        RpcRequest(7, "m", {"a": 1}, "h0", None),
+        RpcReply(7, "v", None),
+        Cast("m", {"a": 1}, "h0"),
+    ]
+    for obj in samples:
+        clone = pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+        assert clone == obj, obj
+
+
+def test_commit_record_version_cache_not_shipped():
+    record = CommitRecord("tx-2", 1, 3, VectorTimestamp.zeros(3), [], 0.5)
+    _ = record.version  # populate the lazy cache
+    clone = pickle.loads(pickle.dumps(record))
+    assert clone._version is None
+    assert clone.version == record.version

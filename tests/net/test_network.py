@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Network, Topology
-from repro.sim import Kernel
+from repro.sim import Kernel, RandomStreams
 
 
 def make_net(n_sites=2, jitter=0.0, loss=0.0):
@@ -172,6 +172,32 @@ def test_jitter_is_deterministic_per_seed():
         return times
 
     assert one_run() == one_run()
+
+
+def _probe_delivery_times(with_cross_traffic):
+    kernel = Kernel()
+    net = Network(
+        kernel, Topology.uniform(4, rtt_ms=80.0),
+        streams=RandomStreams(7), jitter_frac=0.05,
+    )
+    boxes = [net.register("h%d" % s, s) for s in range(4)]
+    if with_cross_traffic:
+        for i in range(5):
+            net.send("h2", "h3", ("noise", i), size_bytes=200)
+        net.send("h3", "h0", ("noise", 5), size_bytes=200)
+    for i in range(8):
+        net.send("h0", "h1", ("probe", i), size_bytes=200)
+    kernel.run()
+    return [m.delivered_at for m in boxes[1]._items if m.payload[0] == "probe"]
+
+
+def test_cross_traffic_does_not_move_link_draws():
+    """One jitter stream per directed site link: a link's delivery times
+    must be byte-identical whether or not other links carry traffic."""
+    quiet = _probe_delivery_times(False)
+    noisy = _probe_delivery_times(True)
+    assert len(quiet) == 8
+    assert quiet == noisy
 
 
 def test_stats_byte_accounting():

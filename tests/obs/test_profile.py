@@ -1,5 +1,10 @@
 """Unit tests for the space-saving sketch and the access profiler."""
 
+import json
+import os
+import subprocess
+import sys
+
 from repro.core.objects import ObjectId
 from repro.obs import AccessProfiler, SpaceSaving
 
@@ -63,3 +68,37 @@ class TestAccessProfiler:
         }
         assert snap["containers"]["c2"]["remote_applies"] == 1
         assert snap["observations"] == 4
+
+
+_PROFILE_PROBE = r"""
+import json
+from repro.bench.workloads import fig18_write5_scenario
+from repro.deployment import Deployment
+
+world = Deployment(n_sites=3, seed=7)
+fig18_write5_scenario(
+    world, n_keys=300, clients_per_site=4, warmup=0.05, measure=0.1, settle=0.3
+)
+profile = world.metrics_snapshot()["access_profile"]
+print(json.dumps(profile, sort_keys=True))
+"""
+
+
+def test_access_profile_independent_of_hashseed():
+    """5-object write transactions overflow the hot-key sketch, so the
+    order the commit and apply paths feed it decides which keys are
+    evicted.  That order must come from the update buffer, not from a
+    frozenset of oids whose iteration order follows the per-process
+    string hash (PYTHONHASHSEED)."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    profiles = []
+    for seed in ("0", "1", "31337"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _PROFILE_PROBE],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        profiles.append(out.stdout)
+    assert all(p["evictions"] > 0 for p in json.loads(profiles[0]).values())
+    assert profiles[1] == profiles[0]
+    assert profiles[2] == profiles[0]

@@ -21,9 +21,9 @@ from repro.deployment import Deployment
 from repro.obs import trace_events_jsonl
 
 # Digests re-recorded when network jitter moved from one shared RNG
-# stream to a per-directed-link stream ("net.jitter.<src>-<dst>"),
-# which the parallel executor needs: a link's jitter draws must not
-# depend on which other links' messages interleave with it.  The
+# stream to a per-directed-link stream ("net.jitter.<src>-<dst>"), so
+# that a link's jitter draws do not depend on which other links'
+# messages interleave with it.  The
 # re-pin changed RNG draw *assignment*, not protocol behavior -- the
 # chaos corpus was re-recorded in the same commit and still passes.
 WORKLOAD_DIGEST = "4fe953e7ad001eae7fccaa5061bb54944278dab9e8adbba65930316996197ad3"
